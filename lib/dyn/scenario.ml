@@ -562,6 +562,10 @@ let probe ?(iterations = 60) c ~csr ~round =
       else acc)
     None lats
 
+(* Round to nearest, not truncate: [int_of_float] alone maps
+   phi = 57 *. 1e-6 (56.999... ppm in binary floating point) to 56. *)
+let phi_ppm phi = int_of_float (Float.round (phi *. 1e6))
+
 let observer ?iterations c ~csr ~telemetry =
   if not c.scenario.track_phi then fun ~round:_ ~informed:_ -> ()
   else begin
@@ -575,7 +579,7 @@ let observer ?iterations c ~csr ~telemetry =
             set (gauge telemetry (Printf.sprintf "dyn.epoch.%d.ell_star" !k)) ell_star;
             set
               (gauge telemetry (Printf.sprintf "dyn.epoch.%d.phi_ell_ppm" !k))
-              (int_of_float (phi *. 1e6));
+              (phi_ppm phi);
             set
               (gauge telemetry (Printf.sprintf "dyn.epoch.%d.bound" !k))
               (int_of_float (Float.ceil bound))

@@ -176,6 +176,10 @@ val observer :
   informed:int ->
   unit
 
+(** [phi_ppm phi] is the [dyn.epoch.<k>.phi_ell_ppm] gauge value:
+    [phi] in parts per million, rounded to {e nearest}. *)
+val phi_ppm : float -> int
+
 val max_epochs : int
 
 val max_probe_lats : int

@@ -35,8 +35,8 @@ let completed t v = Bytes.get t.completed v <> '\000'
 
 let count t = t.count
 
-(* The sharded engine maintains per-shard counts during the run and
-   installs the merged total once the domains have joined. *)
+(* The engine maintains per-shard counts during a round and installs
+   the merged total at every round boundary. *)
 let set_count t c = t.count <- c
 
 let mark t v =

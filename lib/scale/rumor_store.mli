@@ -38,8 +38,9 @@ val bytes : t -> Bytes.t
 val completed : t -> int -> bool
 
 (** [count t] is the number of completed nodes — maintained
-    incrementally by {!mark}/{!seed}/{!forget} on the sequential path;
-    the sharded engine installs the merged total via {!set_count}. *)
+    incrementally by {!mark}/{!seed}/{!forget}; during a run the engine
+    counts per shard and installs the merged total via {!set_count} at
+    every round boundary. *)
 val count : t -> int
 
 val set_count : t -> int -> unit
@@ -55,7 +56,7 @@ val seed : t -> int -> unit
     completed byte (idempotent). *)
 val forget : t -> int -> unit
 
-(** [forget_state t v] runs only the [on_forget] hook — the sharded
+(** [forget_state t v] runs only the [on_forget] hook — the
     engine's half of {!forget}, which manages the completed byte and
     per-shard count itself. *)
 val forget_state : t -> int -> unit

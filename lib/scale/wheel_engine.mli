@@ -12,7 +12,7 @@
       {b int32} columns ({!I32.t} Bigarrays — 4 bytes per field, off
       the OCaml heap), threaded into singly-linked lists; node ids and
       latencies fit by the {!Csr} range contract, and due rounds are
-      guarded per round ({!step} raises {!I32.Overflow} rather than
+      guarded per round (a run raises {!I32.Overflow} rather than
       wrapping a due date);
     - the round loop is {e allocation-free}: no per-round closures,
       boxed ints, or escaping refs — enforced by asserting the
@@ -34,6 +34,13 @@
     node may initiate, in ascending node order.  A latency-[ℓ] exchange
     initiated at round [r] arrives at [r + ⌈ℓ/2⌉] and its response
     returns at [r + ℓ].
+
+    The round loop is written once, over contiguous node shards that
+    each own a pool, wheels and a slice of the informed bytes.  With
+    [k > 1] shards each runs on its own domain, with barriers between
+    stages and mailboxes for cross-shard exchanges; [k = 1] is one
+    shard owning every node on the calling domain, which {!create} /
+    {!step} drive a round at a time.
 
     The protocol itself is a {!Kernel.t}: a directed contact structure
     plus the [on_initiate] / [on_deliver] / [on_response] hooks the
@@ -140,8 +147,8 @@ val no_faults : faults
 
     All closures must be pure (deterministic functions of their
     arguments): under [?domains > 1] the engine may evaluate them from
-    any domain, and bit-identical parity with the sequential engine
-    relies on it. *)
+    any domain, and bit-identical parity across shard counts relies on
+    it. *)
 type env = {
   env_alive : node:int -> round:int -> bool;
   env_present_since : node:int -> since:int -> round:int -> bool;
@@ -163,10 +170,11 @@ val env_of_faults : faults -> env
     aggregation code needs no conversion. *)
 type metrics = Gossip_sim.Engine.metrics
 
-(** Raised by {!step} when a fault plan jitters a latency past the
-    wheel bound mid-run.  A typed exception (with a registered
-    printer) rather than [Invalid_argument] so a sweep runtime can
-    record the run as a failed outcome instead of crashing. *)
+(** Raised by {!step} and {!broadcast} when a fault plan jitters a
+    latency past the wheel bound mid-run.  A typed exception (with a
+    registered printer) rather than [Invalid_argument] so a sweep
+    runtime can record the run as a failed outcome instead of
+    crashing. *)
 exception Jitter_overflow of { latency : int; bound : int; round : int }
 
 (** Raised by {!broadcast} between rounds once the wall-clock
@@ -195,13 +203,16 @@ val minor_words_budget : int
     rounding behavior itself is testable. *)
 val gauge_of_minor_words : total:float -> rounds:int -> int
 
+(** A one-shard run, advanced a round at a time by {!step}. *)
 type t
 
 (** [create ?faults ?wheel_latency ?max_jitter ?telemetry rng csr
-    ~protocol ~source] builds a simulator with the source already
-    informed.  [wheel_latency] sizes the timing wheel (default:
-    [Csr.max_latency csr + max_jitter]); it must be an upper bound on
-    every jittered latency the run will see.
+    ~protocol ~source] builds a one-shard run with the source already
+    informed — the run {!broadcast} executes at [domains = 1], exposed
+    so callers can drive it round by round.  [wheel_latency] sizes the
+    timing wheel (default: [Csr.max_latency csr + max_jitter]); it
+    must be an upper bound on every jittered latency the run will
+    see.
 
     [max_jitter] (default [0]) declares the fault plan's maximum
     additive jitter.  Declaring it sizes the wheel to
@@ -216,8 +227,7 @@ type t
     [min Sys.max_array_length I32.max_value] (pool indices live in
     int32 cells, so the ceiling is clamped to the int32 range; an
     explicit capacity above it is clamped too).  Default: unbounded up
-    to that ceiling.  Under [?domains > 1] the capacity applies to
-    {e each} shard's pool.
+    to that ceiling.  The capacity applies to {e each} shard's pool.
 
     [telemetry] attaches an observability registry: per round the
     engine observes delivery/initiation counts and the in-flight
@@ -290,8 +300,6 @@ val create_kernel :
   source:int ->
   t
 
-val graph : t -> Csr.t
-
 (** [current_round t] is the index of the next round to execute. *)
 val current_round : t -> int
 
@@ -301,9 +309,12 @@ val informed : t -> int -> bool
 
 val informed_count : t -> int
 
-(** [step t] executes one round (deliveries, then initiations).
+(** [step t] executes one round (deliveries, then initiations) — the
+    same stages and merge as one round of {!broadcast} at [domains =
+    1], without its stopping rule: the caller decides when to stop.
     @raise Jitter_overflow when a jittered latency exceeds the wheel
-    bound. *)
+    bound.
+    @raise Pool_exhausted when the pool hits [pool_capacity]. *)
 val step : t -> unit
 
 (** Result of a full broadcast run, shaped like
@@ -342,11 +353,12 @@ type result = {
     plan's closures are pure} (deterministic functions of their
     arguments; the engine may evaluate them from any domain).  With
     [domains > 1] and [?telemetry], the registry additionally gains a
-    ["wheel.shards"] gauge and per-shard
+    ["wheel.shards"] gauge and the cross-shard traffic counters
     ["wheel.shard.remote.initiations"] /
-    ["wheel.shard.remote.responses"] counters merged in at the end of
-    the run.  [domains] is clamped to the node count; 1 runs the plain
-    sequential engine.
+    ["wheel.shard.remote.responses"], summed over shards at the end of
+    the run.  [domains] is clamped to the node count; 1 runs the single
+    shard on the calling domain, with no domain spawn, barrier or
+    mailbox.
 
     [on_round] is a per-round observer with the deadline's guarantees:
     it fires strictly {e between} rounds (after round [round]'s
@@ -380,10 +392,10 @@ val broadcast :
 
 (** [broadcast_kernel rng csr ~kernel ~source ~max_rounds] is
     {!broadcast} for an explicit kernel (see {!create_kernel}); the
-    sequential/sharded dispatch, determinism guarantees, and
-    exceptions are identical.  This is the entry point for RR
-    Broadcast over a precomputed spanner and for EID's phase-chained
-    runs ([?informed] carries the previous phase's informed set). *)
+    sharding, determinism guarantees, and exceptions are identical.
+    This is the entry point for RR Broadcast over a precomputed
+    spanner and for EID's phase-chained runs ([?informed] carries the
+    previous phase's informed set). *)
 val broadcast_kernel :
   ?faults:faults ->
   ?env:env ->

@@ -22,7 +22,10 @@ val capacity : t -> int
 (** Incomplete entries right now: queued + running. *)
 val depth : t -> int
 
-type submitted = { id : string; position : int; trials : int }
+(** [depth] is {!depth} counted under the same lock hold as the
+    append, so it includes the new job even if a worker finishes it
+    before the caller looks. *)
+type submitted = { id : string; position : int; trials : int; depth : int }
 
 (** [submit t ?id spec] appends a job, generating a fresh id
     ([job-1], [job-2], …) unless [id] restores one from a journal;

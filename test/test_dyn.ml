@@ -243,6 +243,13 @@ let test_random_churn_rounds_to_nearest () =
   done;
   checki "1.5 churned nodes round to 2" 2 !absent
 
+(* The phi gauge rounds to nearest: 57 *. 1e-6 is 56.999... ppm in
+   binary floating point, which [int_of_float] truncated to 56. *)
+let test_phi_ppm_rounds_to_nearest () =
+  checki "57e-6 computed in floating point" 57 (Scenario.phi_ppm (57. *. 1e-6));
+  checki "49.6 ppm rounds up" 50 (Scenario.phi_ppm 4.96e-5);
+  checki "49.4 ppm rounds down" 49 (Scenario.phi_ppm 4.94e-5)
+
 let test_random_churn_zero_count_rejected () =
   (* A positive fraction that rounds to zero churned nodes would
      silently disable the entry; compile refuses instead. *)
@@ -464,6 +471,7 @@ let () =
           Alcotest.test_case "permanent leave" `Quick test_permanent_leave_darkens_node;
           Alcotest.test_case "adversary on spanner" `Quick test_adversary_on_spanner;
           Alcotest.test_case "observer gauges" `Quick test_observer_gauges;
+          Alcotest.test_case "phi gauge rounds" `Quick test_phi_ppm_rounds_to_nearest;
         ] );
       ("braided-ring", [ Alcotest.test_case "structure" `Quick test_braided_ring_structure ]);
     ]

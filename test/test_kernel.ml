@@ -657,14 +657,21 @@ let prop_sharded_kernel_parity =
           csr ~kernel:(mk ()) ~source ~max_rounds:400
       in
       let base = run 1 in
-      List.for_all
-        (fun d ->
-          let r = run d in
-          r.Wheel.rounds = base.Wheel.rounds
-          && r.Wheel.history = base.Wheel.history
-          && r.Wheel.metrics = base.Wheel.metrics
-          && Bytes.equal r.Wheel.informed base.Wheel.informed)
-        parity_domains)
+      let stepped =
+        Stepped.run ~n ~max_rounds:400
+          (Wheel.create_kernel ~faults ~max_jitter
+             (Rng.of_int (seed + 1))
+             csr ~kernel:(mk ()) ~source)
+      in
+      Stepped.same stepped base
+      && List.for_all
+           (fun d ->
+             let r = run d in
+             r.Wheel.rounds = base.Wheel.rounds
+             && r.Wheel.history = base.Wheel.history
+             && r.Wheel.metrics = base.Wheel.metrics
+             && Bytes.equal r.Wheel.informed base.Wheel.informed)
+           parity_domains)
 
 (* Dynamic scenarios compiled by lib/dyn — latency drift, churn, and
    the spanner-targeting adversary — obey the same parity contract on
@@ -710,14 +717,21 @@ let prop_sharded_kernel_parity_scenario =
           csr ~kernel:(mk ()) ~source ~max_rounds:400
       in
       let base = run 1 in
-      List.for_all
-        (fun d ->
-          let r = run d in
-          r.Wheel.rounds = base.Wheel.rounds
-          && r.Wheel.history = base.Wheel.history
-          && r.Wheel.metrics = base.Wheel.metrics
-          && Bytes.equal r.Wheel.informed base.Wheel.informed)
-        parity_domains)
+      let stepped =
+        Stepped.run ~n ~max_rounds:400
+          (Wheel.create_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+             (Rng.of_int (seed + 1))
+             csr ~kernel:(mk ()) ~source)
+      in
+      Stepped.same stepped base
+      && List.for_all
+           (fun d ->
+             let r = run d in
+             r.Wheel.rounds = base.Wheel.rounds
+             && r.Wheel.history = base.Wheel.history
+             && r.Wheel.metrics = base.Wheel.metrics
+             && Bytes.equal r.Wheel.informed base.Wheel.informed)
+           parity_domains)
 
 (* The acceptance property for the rumor-state layer: multi-rumor
    all-to-all runs are bit-identical across shard counts — completion
@@ -754,15 +768,29 @@ let prop_rumor_sharded_parity =
             (Registry.counter reg ("wheel.kernel." ^ cname ^ ".words_on_wire")) )
       in
       let base, base_w = run 1 in
-      List.for_all
-        (fun d ->
-          let r, w = run d in
-          r.Wheel.rounds = base.Wheel.rounds
-          && r.Wheel.history = base.Wheel.history
-          && r.Wheel.metrics = base.Wheel.metrics
-          && Bytes.equal r.Wheel.informed base.Wheel.informed
-          && w = base_w)
-        parity_domains)
+      let stepped, stepped_w =
+        let reg = Registry.create () in
+        let r =
+          Stepped.run ~n ~max_rounds:400
+            (Wheel.create ~faults ~max_jitter ~telemetry:reg
+               (Rng.of_int (seed + 1))
+               csr ~protocol:proto ~source:(seed mod n))
+        in
+        ( r,
+          Registry.counter_value
+            (Registry.counter reg ("wheel.kernel." ^ cname ^ ".words_on_wire")) )
+      in
+      Stepped.same stepped base
+      && stepped_w = base_w
+      && List.for_all
+           (fun d ->
+             let r, w = run d in
+             r.Wheel.rounds = base.Wheel.rounds
+             && r.Wheel.history = base.Wheel.history
+             && r.Wheel.metrics = base.Wheel.metrics
+             && Bytes.equal r.Wheel.informed base.Wheel.informed
+             && w = base_w)
+           parity_domains)
 
 (* Churn is the rumor-specific hazard: a rejoining node must drop to
    its own rumor (partial subsets, partial spans) on every runtime the

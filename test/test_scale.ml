@@ -468,14 +468,19 @@ let prop_sharded_parity =
           csr ~protocol ~source ~max_rounds:400
       in
       let base = run 1 in
-      List.for_all
-        (fun d ->
-          let r = run d in
-          r.Wheel.rounds = base.Wheel.rounds
-          && r.Wheel.history = base.Wheel.history
-          && r.Wheel.metrics = base.Wheel.metrics
-          && Bytes.equal r.Wheel.informed base.Wheel.informed)
-        parity_domains)
+      let stepped =
+        Stepped.run ~n ~max_rounds:400
+          (Wheel.create ~faults ~max_jitter (Rng.of_int (seed + 1)) csr ~protocol ~source)
+      in
+      Stepped.same stepped base
+      && List.for_all
+           (fun d ->
+             let r = run d in
+             r.Wheel.rounds = base.Wheel.rounds
+             && r.Wheel.history = base.Wheel.history
+             && r.Wheel.metrics = base.Wheel.metrics
+             && Bytes.equal r.Wheel.informed base.Wheel.informed)
+           parity_domains)
 
 let test_sharded_dead_shard () =
   (* n = 40, k = 4: shard 1 owns exactly nodes 10..19 (bounds 0, 10,

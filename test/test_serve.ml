@@ -579,6 +579,20 @@ let test_server_backpressure_typed () =
           | P.Submitted _ -> ()
           | r -> Alcotest.failf "slot must free up, got %s" (Json.to_string (P.response_to_json r))))
 
+(* The serve.queue_depth gauge records the depth Jobq.submit counted
+   under its own lock, so a job the worker finishes before the submit
+   reply is sent still shows as queued. *)
+let test_server_queue_depth_gauge () =
+  with_server (fun sock ->
+      Client.with_connect sock (fun c ->
+          let id = submit_ok c (small_spec ~trials:1 ()) in
+          ignore (wait_terminal c id);
+          match Client.rpc c P.Stats with
+          | P.Server_stats { gauges; _ } ->
+              let depth = Option.value ~default:0 (List.assoc_opt "serve.queue_depth" gauges) in
+              if depth < 1 then Alcotest.failf "serve.queue_depth = %d after a submit" depth
+          | r -> Alcotest.failf "stats: %s" (Json.to_string (P.response_to_json r))))
+
 let test_server_cancel_running () =
   let hold, release = gate () in
   with_server ~before_job:hold (fun sock ->
@@ -695,6 +709,7 @@ let () =
             test_server_concurrent_results_byte_identical;
           Alcotest.test_case "typed backpressure" `Quick test_server_backpressure_typed;
           Alcotest.test_case "cancel running job" `Quick test_server_cancel_running;
+          Alcotest.test_case "queue depth gauge" `Quick test_server_queue_depth_gauge;
           Alcotest.test_case "spec validation" `Quick test_server_validates_spec;
           Alcotest.test_case "scenario wire format" `Quick test_spec_scenario_wire;
           Alcotest.test_case "scenario job end to end" `Quick test_server_runs_scenario_job;
