@@ -381,10 +381,6 @@ let e15 () =
   in
   let clique = 16 and bridge = 8 in
   let max_rounds = 200_000 in
-  let ceil_log2 x =
-    let rec go k p = if p >= x then k else go (k + 1) (p * 2) in
-    go 0 1
-  in
   section "E15  Theorem 14 at scale: RR-on-spanner vs push-pull"
     (Printf.sprintf
        "One-to-all broadcast on ring-of-cliques (cliques of %d, latency-%d\n\
@@ -419,7 +415,7 @@ let e15 () =
             Wheel.broadcast ~domains (Rng.of_int (seed + 17)) csr ~protocol:Wheel.Push_pull
               ~source:0 ~max_rounds)
       in
-      let k_sp = ceil_log2 n in
+      let k_sp = Spanner.ceil_log2 n in
       let sp, build_s =
         time (fun () -> Spanner.build (Rng.of_int (seed + 29)) (Csr.to_graph csr) ~k:k_sp ())
       in
@@ -529,10 +525,6 @@ let e16 () =
   let clique = 16 and bridges = 4 and bridge = 8 in
   let caps = [ 1; 2; 4; 8 ] in
   let max_rounds = 1_000_000 in
-  let ceil_log2 x =
-    let rec go k p = if p >= x then k else go (k + 1) (p * 2) in
-    go 0 1
-  in
   section "E16  dynamic networks: broadcast under live latency drift"
     (Printf.sprintf
        "One-to-all broadcast on a braided ring (cliques of %d, %d bridges per\n\
@@ -564,7 +556,7 @@ let e16 () =
       let cliques = max 3 (n_req / clique) in
       let csr = Csr.braided_ring ~cliques ~size:clique ~bridges ~bridge_latency:bridge in
       let n = Csr.n csr in
-      let k_sp = ceil_log2 n in
+      let k_sp = Spanner.ceil_log2 n in
       let sp, _ = time (fun () -> Spanner.build (Rng.of_int (seed + 29)) (Csr.to_graph csr) ~k:k_sp ()) in
       let out_bound =
         int_of_float
@@ -759,10 +751,6 @@ let e17 () =
   let seed = 1013 in
   let deg = 8 and lmax = 4 in
   let max_rounds = 1_000_000 in
-  let ceil_log2 x =
-    let rec go k p = if p >= x then k else go (k + 1) (p * 2) in
-    go 0 1
-  in
   section "E17  Theorem 20 at scale: unified unknown-latency vs push-pull"
     (Printf.sprintf
        "One-to-all dissemination on a Watts-Strogatz graph (degree %d, uniform\n\
@@ -782,7 +770,7 @@ let e17 () =
   (* Budget: D <= 2 * ecc(source) (one Dijkstra, not all-pairs). *)
   let ecc = Paths.eccentricity g source in
   let delta = Graph.max_degree g in
-  let lg = ceil_log2 (max 2 n) in
+  let lg = Gossip_core.Spanner.ceil_log2 (max 2 n) in
   let budget = 8 * ((2 * ecc) + delta) * lg * lg * lg in
   Printf.printf "n = %d, ecc(source) = %d, Delta = %d, budget = %d rounds\n\n" n ecc delta budget;
   let drift_compiled =

@@ -264,10 +264,6 @@ let build_csr a =
       | spec -> Scsr.with_latencies (Rng.of_int a.seed) spec csr)
   | None -> Scsr.of_graph (build_graph a)
 
-let ceil_log2 x =
-  let rec go acc p = if p >= x then acc else go (acc + 1) (2 * p) in
-  max 1 (go 0 1)
-
 (* One wheel-engine run through a protocol kernel: parses the protocol
    name, builds the contact structure (including the Baswana-Sen
    spanner an rr-spanner kernel needs), runs, and optionally dumps the
@@ -400,14 +396,13 @@ let run_wheel_protocol args ~pname ~rumors ~budget ~domains ~source ~max_rounds 
   let kernel, oriented =
     match protocol with
     | Wheel.Rr_spanner { stretch_k } ->
-        let k_sp = if stretch_k > 0 then stretch_k else ceil_log2 n in
+        let k_sp = if stretch_k > 0 then stretch_k else Gossip_core.Spanner.ceil_log2 n in
         let t0 = Unix.gettimeofday () in
-        let spanner =
-          Gossip_core.Spanner.build
+        let oriented =
+          Gossip_core.Spanner.orient
             (Rng.of_int (args.seed + 29))
-            (Scsr.to_graph csr) ~k:k_sp ~n_hat:n ()
+            (Scsr.to_graph csr) ~k:k_sp ~n_hat:n
         in
-        let oriented = Scsr.of_oriented_spanner spanner.Gossip_core.Spanner.out_edges in
         Printf.printf
           "spanner (k = %d): %d directed edges, max out-degree %d, built in %.1fs\n%!" k_sp
           (Scsr.oriented_edge_count oriented)

@@ -19,15 +19,17 @@ type result = {
   unanimous : bool;
 }
 
-let ceil_log2 x =
-  let rec go acc p = if p >= x then acc else go (acc + 1) (2 * p) in
-  max 1 (go 0 1)
+(* The Lemma 15 out-degree bound 8·n^(1/k)·ln n the scale chains assert
+   when packing the orientation. *)
+let out_degree_bound ~n ~k =
+  let nf = float_of_int (max 2 n) in
+  int_of_float (ceil (8.0 *. (nf ** (1.0 /. float_of_int k)) *. log nf))
 
 (* One EID(k) pass: discovery, spanner, RR broadcast.  [sets] is
    updated in place; returns the attempt record (check_rounds = 0) and
    the spanner orientation for the caller's termination check. *)
 let eid_once rng g ~k ~n_hat ~sets =
-  let iterations = ceil_log2 n_hat in
+  let iterations = Spanner.ceil_log2 n_hat in
   let discovery_rounds = ref 0 in
   (* A DTG phase can only deadlock-guard on the cap; each phase is
      O(k log^2 n), so this cap is generous. *)
@@ -39,7 +41,7 @@ let eid_once rng g ~k ~n_hat ~sets =
     | None -> discovery_rounds := !discovery_rounds + phase_cap
   done;
   let gk = Graph.subgraph_le g k in
-  let k_spanner = ceil_log2 n_hat in
+  let k_spanner = Spanner.ceil_log2 n_hat in
   let spanner = Spanner.build rng gk ~k:k_spanner ~n_hat () in
   let k_rr = k * ((2 * k_spanner) - 1) in
   let rr =
@@ -100,7 +102,7 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
   if d < 1 then invalid_arg "Eid.run_known_diameter_scale: need d >= 1";
   let n = Scale_csr.n csr in
   let n_hat = match n_hat with Some h -> max h n | None -> n in
-  let lg = ceil_log2 n_hat in
+  let lg = Spanner.ceil_log2 n_hat in
   (* Phase 1: k-DTG local broadcast over the latency-<= d subgraph,
      budgeted at the discovery phase's 2·d·⌈log n̂⌉² rounds (the
      single-rumor shadow of the O(log n) DTG repetitions). *)
@@ -117,12 +119,9 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
      set. *)
   let gd = Graph.subgraph_le (Scale_csr.to_graph csr) d in
   let k_spanner = lg in
-  let spanner = Spanner.build rng gd ~k:k_spanner ~n_hat () in
-  let out_degree_bound =
-    let nf = float_of_int (max 2 n) in
-    int_of_float (ceil (8.0 *. (nf ** (1.0 /. float_of_int k_spanner)) *. log nf))
+  let oriented =
+    Spanner.orient ~out_degree_bound:(out_degree_bound ~n ~k:k_spanner) rng gd ~k:k_spanner ~n_hat
   in
-  let oriented = Scale_csr.of_oriented_spanner ~out_degree_bound spanner.Spanner.out_edges in
   let k_rr = d * ((2 * k_spanner) - 1) in
   let rr_cap =
     match max_rounds with
@@ -142,8 +141,8 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
     scale_rounds = dtg_rounds + rr_res.Scale_wheel.metrics.Gossip_sim.Engine.rounds;
     scale_dtg_rounds = dtg_rounds;
     scale_rr_rounds = rr_res.Scale_wheel.rounds;
-    scale_spanner_out_degree = Spanner.max_out_degree spanner;
-    scale_spanner_edges = Spanner.edge_count spanner;
+    scale_spanner_out_degree = Scale_csr.oriented_max_out_degree oriented;
+    scale_spanner_edges = Scale_csr.oriented_edge_count oriented;
     scale_informed = rr_res.Scale_wheel.informed;
     scale_success = !final_count = n;
   }
@@ -204,7 +203,7 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
     ?deadline rng csr ~source () =
   let n = Scale_csr.n csr in
   let n_hat = match n_hat with Some h -> max h n | None -> n in
-  let lg = ceil_log2 n_hat in
+  let lg = Spanner.ceil_log2 n_hat in
   let mj = match max_jitter with Some j -> j | None -> 0 in
   (* Harness guard on the doubling loop, from the TRUE latencies (the
      protocol never reads them): a guess beyond twice the latency sum
@@ -238,12 +237,11 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
         ?deadline ?telemetry ?domains ?informed rng gk ~k ~source
     in
     let k_spanner = lg in
-    let spanner = Spanner.build rng (Scale_csr.to_graph gk) ~k:k_spanner ~n_hat () in
-    let out_degree_bound =
-      let nf = float_of_int (max 2 n) in
-      int_of_float (ceil (8.0 *. (nf ** (1.0 /. float_of_int k_spanner)) *. log nf))
+    let oriented =
+      Spanner.orient
+        ~out_degree_bound:(out_degree_bound ~n ~k:k_spanner)
+        rng (Scale_csr.to_graph gk) ~k:k_spanner ~n_hat
     in
-    let oriented = Scale_csr.of_oriented_spanner ~out_degree_bound spanner.Spanner.out_edges in
     let k_rr = k * ((2 * k_spanner) - 1) in
     let rr_cap = (k_rr * Scale_csr.oriented_max_out_degree oriented) + (2 * k_rr) in
     let rr_kernel = Scale_kernel.rr_broadcast ~k:k_rr oriented in
@@ -265,8 +263,8 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
         ua_rr_rounds = rr_res.Scale_wheel.metrics.Gossip_sim.Engine.rounds;
         ua_check_rounds = check.Termination_check.sc_rounds;
         ua_edges_known = disc.Discovery.s_edges_known;
-        ua_spanner_out_degree = Spanner.max_out_degree spanner;
-        ua_spanner_edges = Spanner.edge_count spanner;
+        ua_spanner_out_degree = Scale_csr.oriented_max_out_degree oriented;
+        ua_spanner_edges = Scale_csr.oriented_edge_count oriented;
         ua_failed = check.Termination_check.sc_any_failed;
         ua_unanimous = check.Termination_check.sc_unanimous;
       }

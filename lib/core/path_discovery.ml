@@ -50,14 +50,10 @@ type schedule_scale_result = {
   ps_metrics : Gossip_sim.Engine.metrics;
 }
 
-let ceil_log2 x =
-  let rec go acc p = if p >= x then acc else go (acc + 1) (2 * p) in
-  max 1 (go 0 1)
-
 let run_schedule_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains
     ?informed rng csr ~k ~source =
   if k < 1 then invalid_arg "Path_discovery.run_schedule_scale: need k >= 1";
-  let lg = ceil_log2 (max 2 (Scale_csr.n csr)) in
+  let lg = Spanner.ceil_log2 (max 2 (Scale_csr.n csr)) in
   let lmax = Scale_csr.max_latency csr in
   let total = ref 0 in
   let acc_metrics = Gossip_sim.Engine.empty_metrics () in

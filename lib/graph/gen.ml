@@ -231,7 +231,7 @@ let barabasi_albert rng ~n ~attach =
     incr count
   in
   for u = seed_size to n - 1 do
-    let chosen = Hashtbl.create attach in
+    let chosen = Hashtbl.create ~random:false attach in
     while Hashtbl.length chosen < attach do
       let v = !endpoints.(Rng.int rng !count) in
       if v <> u then Hashtbl.replace chosen v ()

@@ -8,32 +8,63 @@ type t = {
   m : int;
 }
 
-let of_edges ~n edge_list =
+let edge_error ~n (u, v, latency) =
+  if u < 0 || u >= n || v < 0 || v >= n then Some "Graph.of_edges: endpoint out of range"
+  else if u = v then Some "Graph.of_edges: self-loop"
+  else if latency < 1 then Some "Graph.of_edges: latency must be >= 1"
+  else None
+
+let rec of_edges ~n edge_list =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let buckets = Array.make n [] in
+  let deg = Array.make n 0 in
   let count = ref 0 in
-  let seen = Hashtbl.create (List.length edge_list) in
   List.iter
-    (fun (u, v, latency) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.of_edges: endpoint out of range";
-      if u = v then invalid_arg "Graph.of_edges: self-loop";
-      if latency < 1 then invalid_arg "Graph.of_edges: latency must be >= 1";
-      let key = if u < v then (u, v) else (v, u) in
-      if Hashtbl.mem seen key then invalid_arg "Graph.of_edges: parallel edge";
-      Hashtbl.add seen key ();
-      buckets.(u) <- (v, latency) :: buckets.(u);
-      buckets.(v) <- (u, latency) :: buckets.(v);
+    (fun ((u, v, _) as e) ->
+      (match edge_error ~n e with
+      | None -> ()
+      | Some msg ->
+          (* The first bad edge in list order names the error, so a
+             parallel pair before this edge wins: look for one in the
+             (valid) prefix first. *)
+          ignore (of_edges ~n (List.filteri (fun i _ -> i < !count) edge_list));
+          invalid_arg msg);
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1;
       incr count)
     edge_list;
-  let adj =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort (fun (x, _) (y, _) -> compare x y) a;
-        a)
-      buckets
+  (* Counting sort: scatter both directions into per-node rows in list
+     order, then visit the rows by ascending owner [x] and append [x]
+     to each of its neighbours' final rows, which come out sorted by
+     neighbour id.  A parallel edge shows as the same [x] twice in a
+     row. *)
+  let start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    start.(u + 1) <- start.(u) + deg.(u)
+  done;
+  let peer = Array.make start.(n) 0 and lat = Array.make start.(n) 0 in
+  let fill = Array.sub start 0 n in
+  let put u v l =
+    peer.(fill.(u)) <- v;
+    lat.(fill.(u)) <- l;
+    fill.(u) <- fill.(u) + 1
   in
+  List.iter
+    (fun (u, v, l) ->
+      put u v l;
+      put v u l)
+    edge_list;
+  let adj = Array.init n (fun u -> Array.make deg.(u) (0, 0)) in
+  Array.fill fill 0 n 0;
+  for x = 0 to n - 1 do
+    for s = start.(x) to start.(x + 1) - 1 do
+      let u = peer.(s) in
+      let p = fill.(u) in
+      let row = adj.(u) in
+      if p > 0 && fst row.(p - 1) = x then invalid_arg "Graph.of_edges: parallel edge";
+      row.(p) <- (x, lat.(s));
+      fill.(u) <- p + 1
+    done
+  done;
   { n; adj; m = !count }
 
 let n g = g.n

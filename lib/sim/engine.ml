@@ -137,7 +137,7 @@ let step t =
     match t.in_capacity with
     | None -> all_requests
     | Some capacity ->
-        let by_responder = Hashtbl.create 16 in
+        let by_responder = Hashtbl.create ~random:false 16 in
         List.iter
           (function
             | Request { responder; _ } as r ->

@@ -113,17 +113,13 @@ let run_job ?timeout_s ?domains ?pool_capacity ?on_round job =
            the engine's RNG consumption is untouched by its
            construction; stretch_k = 0 means the canonical ⌈log₂ n⌉. *)
         let k_sp =
-          if stretch_k > 0 then stretch_k
-          else
-            let rec go acc p = if p >= n_actual then acc else go (acc + 1) (2 * p) in
-            max 1 (go 0 1)
+          if stretch_k > 0 then stretch_k else Gossip_core.Spanner.ceil_log2 n_actual
         in
-        let spanner =
-          Gossip_core.Spanner.build
+        let oriented =
+          Gossip_core.Spanner.orient
             (Rng.of_int (job.seed + 29))
-            (Csr.to_graph csr) ~k:k_sp ~n_hat:n_actual ()
+            (Csr.to_graph csr) ~k:k_sp ~n_hat:n_actual
         in
-        let oriented = Csr.of_oriented_spanner spanner.Gossip_core.Spanner.out_edges in
         let kernel =
           Gossip_scale.Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented
         in

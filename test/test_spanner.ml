@@ -5,6 +5,7 @@ module Rng = Gossip_util.Rng
 module Graph = Gossip_graph.Graph
 module Gen = Gossip_graph.Gen
 module Spanner = Gossip_core.Spanner
+module Csr = Gossip_scale.Csr
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -131,6 +132,170 @@ let prop_spanner_spans =
       let s = Spanner.build rng g ~k:3 () in
       Graph.is_connected s.Spanner.spanner && Spanner.edge_count s >= n - 1)
 
+(* ---- Differential checks against the test-only oracle ---------------- *)
+
+(* Families of the rr-spanner workloads plus ER; even seeds redraw
+   latencies from U[1,8], odd seeds keep the family's own latencies
+   (unit, or the ring bridges'), so both distinct and heavily tied
+   weights are covered. *)
+let family_names =
+  [| "barabasi-albert"; "watts-strogatz"; "braided-ring"; "ring-of-cliques"; "erdos-renyi" |]
+
+let family_graph fam ~n ~seed =
+  let rng = Rng.of_int seed in
+  let g =
+    match fam with
+    | 0 -> Csr.to_graph (Csr.barabasi_albert rng ~n ~attach:3)
+    | 1 -> Csr.to_graph (Csr.watts_strogatz rng ~n ~k:3 ~beta:0.1)
+    | 2 ->
+        Csr.to_graph
+          (Csr.braided_ring ~cliques:(max 3 (n / 8)) ~size:8 ~bridges:3 ~bridge_latency:4)
+    | 3 -> Gen.ring_of_cliques ~cliques:(max 3 (n / 6)) ~size:6 ~bridge_latency:5
+    | _ ->
+        let p = if seed mod 3 = 0 then 0.5 else 8.0 /. float_of_int n in
+        Gen.erdos_renyi_connected rng ~n ~p
+  in
+  if seed mod 2 = 0 then Gen.with_latencies rng (Gen.Uniform (1, 8)) g else g
+
+let same_as_oracle ?n_hat g ~k ~seed =
+  let s = Spanner.build (Rng.of_int seed) g ~k ?n_hat () in
+  let r = Spanner_ref.build (Rng.of_int seed) g ~k ?n_hat () in
+  s.Spanner.out_edges = r.Spanner_ref.out_edges
+  && Graph.edges s.Spanner.spanner = Graph.edges r.Spanner_ref.spanner
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"build = oracle: out_edges in row order and spanner graph" ~count:120
+    QCheck.(
+      quad (int_range 0 4) (int_range 20 400) (int_range 0 3) (pair bool (int_range 0 100_000)))
+    (fun (fam, n, ki, (square, seed)) ->
+      let g = family_graph fam ~n ~seed in
+      let n = Graph.n g in
+      let k = match ki with 0 -> 1 | 1 -> 2 | 2 -> 3 | _ -> Spanner.ceil_log2 n in
+      let n_hat = if square then n * n else n in
+      if same_as_oracle g ~k ~n_hat ~seed then true
+      else
+        QCheck.Test.fail_reportf "%s n=%d k=%d n_hat=%d seed=%d" family_names.(fam) n k n_hat
+          seed)
+
+let test_oracle_high_degree () =
+  (* Rows past 32 and 64 entries: the table-order buckets double. *)
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun k ->
+          if not (same_as_oracle g ~k ~seed:(k + 11)) then
+            Alcotest.failf "%s k=%d differs from the oracle" name k)
+        [ 1; 2; 3; 7 ])
+    [
+      ("clique 100", Gen.clique 100);
+      ("star 300", Gen.star 300);
+      ( "dense ER weighted",
+        Gen.with_latencies (Rng.of_int 3) (Gen.Uniform (1, 4))
+          (Gen.erdos_renyi_connected (Rng.of_int 4) ~n:160 ~p:0.6) );
+    ]
+
+let test_oracle_ba_large () =
+  let n = 20_000 in
+  let g = Csr.to_graph (Csr.barabasi_albert (Rng.of_int 77) ~n ~attach:3) in
+  checkb "BA 2e4, k = log n" true (same_as_oracle g ~k:(Spanner.ceil_log2 n) ~seed:106)
+
+(* ---- Allocation budget ------------------------------------------------- *)
+
+let test_minor_words_budget () =
+  let n = 20_000 in
+  let csr = Csr.barabasi_albert (Rng.of_int 20) ~n ~attach:3 in
+  let g = Csr.to_graph (Csr.with_latencies (Rng.of_int 27) (Gen.Uniform (1, 8)) csr) in
+  let before = Gc.minor_words () in
+  let s = Spanner.build (Rng.of_int 29) g ~k:(Spanner.ceil_log2 n) ~n_hat:n () in
+  let per_edge = (Gc.minor_words () -. before) /. float_of_int (Graph.m g) in
+  checkb "spanner built" true (Spanner.edge_count s > 0);
+  if per_edge > float_of_int Spanner.minor_words_budget then
+    Alcotest.failf "Spanner.build allocates %.1f minor words per edge, budget %d" per_edge
+      Spanner.minor_words_budget
+
+(* ---- Graph.of_edges against a naive reference -------------------------- *)
+
+(* The tuple-keyed-table [Graph.of_edges] that the counting sort
+   replaced: edges checked one by one in list order, rows sorted by
+   comparison.  Returns the edge count and the rows. *)
+let naive_of_edges ~n edge_list =
+  let buckets = Array.make n [] in
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (u, v, latency) ->
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Graph.of_edges: endpoint out of range";
+      if u = v then invalid_arg "Graph.of_edges: self-loop";
+      if latency < 1 then invalid_arg "Graph.of_edges: latency must be >= 1";
+      let key = (min u v, max u v) in
+      if Hashtbl.mem seen key then invalid_arg "Graph.of_edges: parallel edge";
+      Hashtbl.add seen key ();
+      buckets.(u) <- (v, latency) :: buckets.(u);
+      buckets.(v) <- (u, latency) :: buckets.(v))
+    edge_list;
+  let rows =
+    Array.map
+      (fun l ->
+        let a = Array.of_list l in
+        Array.sort (fun (x, _) (y, _) -> compare x y) a;
+        a)
+      buckets
+  in
+  (Hashtbl.length seen, rows)
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+(* A random simple graph as a shuffled edge list with random endpoint
+   order, plus [faults] bad edges (a parallel copy, a self-loop, an
+   endpoint out of range, a zero latency) at random positions. *)
+let faulty_edge_list rng ~n ~faults =
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Rng.bernoulli rng 0.3 then begin
+        let lat = Rng.int_in rng 1 5 in
+        edges := (if Rng.bool rng then (u, v, lat) else (v, u, lat)) :: !edges
+      end
+    done
+  done;
+  let a = Array.of_list !edges in
+  shuffle rng a;
+  let l = ref (Array.to_list a) in
+  for _ = 1 to faults do
+    let bad =
+      match Rng.int rng 4 with
+      | 0 when a <> [||] ->
+          let u, v, lat = a.(Rng.int rng (Array.length a)) in
+          if Rng.bool rng then (v, u, lat + 1) else (u, v, lat)
+      | 1 ->
+          let u = Rng.int rng n in
+          (u, u, 1)
+      | 2 -> (Rng.int rng n, (if Rng.bool rng then n else -1), 1)
+      | _ -> (0, 1 + Rng.int rng (max 1 (n - 1)), 0)
+    in
+    let pos = Rng.int rng (List.length !l + 1) in
+    l := List.filteri (fun i _ -> i < pos) !l @ (bad :: List.filteri (fun i _ -> i >= pos) !l)
+  done;
+  !l
+
+let prop_of_edges_matches_naive =
+  QCheck.Test.make ~name:"Graph.of_edges = naive reference on shuffled, faulty edge lists"
+    ~count:500
+    QCheck.(triple (int_range 2 30) (int_range 0 100_000) (int_range 0 3))
+    (fun (n, seed, faults) ->
+      let l = faulty_edge_list (Rng.of_int seed) ~n ~faults in
+      let result f = match f () with r -> Ok r | exception Invalid_argument msg -> Error msg in
+      result (fun () ->
+          let g = Graph.of_edges ~n l in
+          (Graph.m g, Array.init n (Graph.neighbors g)))
+      = result (fun () -> naive_of_edges ~n l))
+
 let () =
   Alcotest.run "gossip_spanner"
     [
@@ -151,4 +316,13 @@ let () =
           qtest prop_spanner_subgraph;
           qtest prop_spanner_spans;
         ] );
+      ( "oracle",
+        [
+          qtest prop_matches_oracle;
+          Alcotest.test_case "high-degree rows" `Quick test_oracle_high_degree;
+          Alcotest.test_case "BA 2e4, k = log n" `Quick test_oracle_ba_large;
+        ] );
+      ( "alloc",
+        [ Alcotest.test_case "minor words per edge (BA 2e4)" `Quick test_minor_words_budget ] );
+      ("edges", [ qtest prop_of_edges_matches_naive ]);
     ]
