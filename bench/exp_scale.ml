@@ -787,17 +787,21 @@ let e17 () =
   in
   let configs =
     [
-      ("static", None, None, 0, None);
+      ("static", None, 0, None);
       ( "drop",
         Some
-          {
-            Wheel.no_faults with
-            Engine.drop =
-              (fun ~initiator ~responder ~round -> (initiator + (3 * responder) + round) mod 13 = 0);
-          },
-        None, 0, None );
-      ("jitter", Some (Robustness.jitter_up_to (Rng.of_int (seed + 5)) ~extra:2), None, 2, None);
-      ("drift", None, Some drift_compiled.Scenario.env, 0, Some drift_compiled.Scenario.wheel_latency);
+          (Wheel.env_of_faults
+             {
+               Engine.no_faults with
+               Engine.drop =
+                 (fun ~initiator ~responder ~round ->
+                   (initiator + (3 * responder) + round) mod 13 = 0);
+             }),
+        0, None );
+      ( "jitter",
+        Some (Wheel.env_of_faults (Robustness.jitter_up_to (Rng.of_int (seed + 5)) ~extra:2)),
+        2, None );
+      ("drift", Some drift_compiled.Scenario.env, 0, Some drift_compiled.Scenario.wheel_latency);
     ]
   in
   let t =
@@ -816,10 +820,10 @@ let e17 () =
   in
   let rows = ref [] in
   List.iter
-    (fun (label, faults, env, max_jitter, wheel_latency) ->
+    (fun (label, env, max_jitter, wheel_latency) ->
       let r, secs =
         time (fun () ->
-            Dissemination.broadcast_scale ?faults ?env ?wheel_latency ~max_jitter ~domains
+            Dissemination.broadcast_scale ?env ?wheel_latency ~max_jitter ~domains
               (Rng.of_int (seed + 17))
               csr ~source ~max_rounds ())
       in

@@ -22,8 +22,9 @@ let weighted_conductance ?(backend = Auto) g =
   let backend = resolve backend g in
   let latencies = Graph.distinct_latencies g in
   let profile = List.map (fun l -> (l, phi_ell ~backend g l)) latencies in
+  (* [profile] ascends in ℓ; the tie rule is documented in the .mli. *)
   let best (bl, bp) (l, p) =
-    if p /. float_of_int l > bp /. float_of_int bl then (l, p) else (bl, bp)
+    if p /. float_of_int l > bp /. float_of_int bl *. (1.0 +. 1e-9) then (l, p) else (bl, bp)
   in
   match profile with
   | [] -> invalid_arg "Weighted.weighted_conductance: edgeless graph"

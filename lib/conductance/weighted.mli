@@ -8,7 +8,13 @@
     [φ_ℓ] is a step function that changes only at distinct edge
     latencies, and within a step [φ_ℓ / ℓ] decreases in [ℓ]; it
     therefore suffices to evaluate [φ_ℓ] at the distinct latency
-    values. *)
+    values.
+
+    Ties go to the smaller [ℓ]: a larger latency becomes [ℓ*] only if
+    its [φ_ℓ / ℓ] beats the best so far by a relative [1e-9].  Ratios
+    equal in exact arithmetic ([φ₄/4 = φ₅/5 = 1/7]) can differ in their
+    last bits, and the rounding falls differently once every latency
+    is scaled by [c]; the tolerance keeps [ℓ*] scaling to [c · ℓ*]. *)
 
 (** Which [φ_ℓ] backend to use. *)
 type backend =

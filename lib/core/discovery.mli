@@ -40,11 +40,12 @@ val probe_rounds : delta:int -> d_bound:int -> int
     the measured round-trip time of each response when it lands within
     [d_bound].  Because the timing wheel measures the exchange's {e
     effective} round trip, the discovered profile reflects the run's
-    fault plan and environment — jittered edges are discovered at
-    their jittered cost or not at all. *)
+    network environment ([?env]; a static fault plan enters through
+    {!Gossip_scale.Wheel_engine.env_of_faults}) — jittered edges are
+    discovered at their jittered cost or not at all. *)
 
 type scale_result = {
-  s_rounds : int;  (** wheel rounds executed ([Δ + d], summed under doubling) *)
+  s_rounds : int;  (** wheel rounds executed ([Δ + d]) *)
   s_discovered : Gossip_scale.Csr.t;
       (** the discovered graph: an undirected edge appears once both
           endpoints measured it, at the worse of the two measurements *)
@@ -63,7 +64,6 @@ type scale_result = {
     [d_bound]; optional arguments pass through to
     {!Gossip_scale.Wheel_engine.broadcast_kernel}. *)
 val probe_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->
@@ -73,21 +73,4 @@ val probe_scale :
   Gossip_util.Rng.t ->
   Gossip_scale.Csr.t ->
   d_bound:int ->
-  scale_result
-
-(** [probe_doubling_scale rng csr ~target] is guess-and-double over
-    [probe_scale] with [d = 1, 2, 4, ...] until [d >= target];
-    [s_rounds] accumulates over attempts, every other field is the
-    final attempt's. *)
-val probe_doubling_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
-  ?env:Gossip_scale.Wheel_engine.env ->
-  ?wheel_latency:int ->
-  ?max_jitter:int ->
-  ?deadline:float ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?domains:int ->
-  Gossip_util.Rng.t ->
-  Gossip_scale.Csr.t ->
-  target:int ->
   scale_result

@@ -69,16 +69,16 @@ type scale_result = {
   b_metrics : Gossip_sim.Engine.metrics;
 }
 
-let broadcast_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
+let broadcast_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?max_jitter
     ?deadline rng csr ~source ~max_rounds () =
   let pp_rng = Rng.split rng in
   let eid_rng = Rng.split rng in
   let pp =
-    Scale_wheel.broadcast ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
+    Scale_wheel.broadcast ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
       ?domains pp_rng csr ~protocol:Scale_wheel.Push_pull ~source ~max_rounds
   in
   let eid =
-    Eid.run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
+    Eid.run_unknown_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?max_jitter
       ?deadline eid_rng csr ~source ()
   in
   let winner, rounds, informed, metrics =

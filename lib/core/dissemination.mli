@@ -61,12 +61,12 @@ type scale_result = {
 (** [broadcast_scale rng csr ~source ~max_rounds ()] races the two
     branches.  [max_rounds] caps the push-pull branch only (the EID
     chain self-budgets per phase); the other optional arguments pass
-    through to both branches. *)
+    through to both branches, which therefore race under the same
+    network environment [env]. *)
 val broadcast_scale :
   ?n_hat:int ->
   ?domains:int ->
   ?telemetry:Gossip_obs.Registry.t ->
-  ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->

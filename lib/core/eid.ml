@@ -199,7 +199,7 @@ let count_informed informed =
   Bytes.iter (fun ch -> if ch <> '\000' then incr c) informed;
   !c
 
-let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
+let run_unknown_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?max_jitter
     ?deadline rng csr ~source () =
   let n = Scale_csr.n csr in
   let n_hat = match n_hat with Some h -> max h n | None -> n in
@@ -220,7 +220,7 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
   let u_metrics = Gossip_sim.Engine.empty_metrics () in
   let rec attempt_loop k informed acc_attempts acc_rounds unanimous =
     let disc =
-      Discovery.probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
+      Discovery.probe_scale ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
         ?domains rng csr ~d_bound:k
     in
     let gk = disc.Discovery.s_discovered in
@@ -233,7 +233,7 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
       | None -> None
     in
     let sched =
-      Path_discovery.run_schedule_scale ?faults ?env ?wheel_latency:gk_wheel ?max_jitter
+      Path_discovery.run_schedule_scale ?env ?wheel_latency:gk_wheel ?max_jitter
         ?deadline ?telemetry ?domains ?informed rng gk ~k ~source
     in
     let k_spanner = lg in
@@ -246,12 +246,12 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
     let rr_cap = (k_rr * Scale_csr.oriented_max_out_degree oriented) + (2 * k_rr) in
     let rr_kernel = Scale_kernel.rr_broadcast ~k:k_rr oriented in
     let rr_res =
-      Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
+      Scale_wheel.broadcast_kernel ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
         ?telemetry ?domains ~informed:sched.Path_discovery.ps_informed rng gk ~kernel:rr_kernel
         ~source ~max_rounds:rr_cap
     in
     let check =
-      Termination_check.run_scale ?faults ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
+      Termination_check.run_scale ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
         ?telemetry ?domains rng gk ~oriented ~k:k_rr
         ~informed:rr_res.Scale_wheel.informed
     in

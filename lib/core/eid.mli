@@ -128,14 +128,15 @@ type unknown_result = {
 }
 
 (** [run_unknown_scale rng csr ~source ()] runs the chain above.
-    Optional arguments pass through to every wheel-engine phase;
-    [wheel_latency], when pinned, is widened per attempt to cover the
-    measured (possibly jittered) latencies of the discovered graph. *)
+    Optional arguments pass through to every wheel-engine phase, so
+    one network environment [env] governs discovery, T(k), RR and the
+    check alike; [wheel_latency], when pinned, is widened per attempt
+    by [max_jitter] to cover the measured (possibly jittered)
+    latencies of the discovered graph. *)
 val run_unknown_scale :
   ?n_hat:int ->
   ?domains:int ->
   ?telemetry:Gossip_obs.Registry.t ->
-  ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->

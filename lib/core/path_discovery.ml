@@ -50,7 +50,7 @@ type schedule_scale_result = {
   ps_metrics : Gossip_sim.Engine.metrics;
 }
 
-let run_schedule_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains
+let run_schedule_scale ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains
     ?informed rng csr ~k ~source =
   if k < 1 then invalid_arg "Path_discovery.run_schedule_scale: need k >= 1";
   let lg = Spanner.ceil_log2 (max 2 (Scale_csr.n csr)) in
@@ -66,7 +66,7 @@ let run_schedule_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?teleme
       let budget = max 64 (2 * ell * lg * lg) in
       let kernel = Scale_kernel.dtg_local ~ell:(min ell lmax) csr in
       let res =
-        Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline
+        Scale_wheel.broadcast_kernel ?env ?wheel_latency ?max_jitter ?deadline
           ?telemetry ?domains ?informed:!inf rng csr ~kernel ~source ~max_rounds:budget
       in
       total := !total + res.Scale_wheel.metrics.Gossip_sim.Engine.rounds;

@@ -54,9 +54,9 @@ type schedule_scale_result = {
     phase to phase (seeded from [?informed], copied).  Phases after
     the rumor has reached everyone cost no rounds.  Optional
     arguments pass through to
-    {!Gossip_scale.Wheel_engine.broadcast_kernel}. *)
+    {!Gossip_scale.Wheel_engine.broadcast_kernel}; [env] is every
+    phase's network environment. *)
 val run_schedule_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->

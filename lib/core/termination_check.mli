@@ -69,9 +69,9 @@ type scale_result = {
     out-edges for the Lemma 15 window, then flood the verdict for the
     same window.  [informed] is frozen at kernel construction (copied,
     never written).  Optional arguments pass through to
-    {!Gossip_scale.Wheel_engine.broadcast_kernel}. *)
+    {!Gossip_scale.Wheel_engine.broadcast_kernel}; [env] is both
+    passes' network environment. *)
 val run_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->

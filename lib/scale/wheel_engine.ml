@@ -19,14 +19,11 @@ let protocol_of_string = Kernel.protocol_of_string
 
 let known_protocols = Kernel.known_protocols
 
-type faults = Engine.faults
-
-let no_faults = Engine.no_faults
-
 type metrics = Engine.metrics
 
-(* The dynamic-network environment: a time-indexed generalization of
-   [faults].  Where [faults.jitter] sees only (latency, round), the
+(* The network environment, the engine's one conditions input: a
+   time-indexed generalization of the reference engine's fault plan.
+   Where [Engine.faults.jitter] sees only (latency, round), the
    environment's latency map also sees the edge's endpoints — the hook
    `lib/dyn` scenarios use to drift, modulate, or adversarially jitter
    specific edges.  Churn adds two notions the static plan lacks:
@@ -51,7 +48,7 @@ type env = {
    map ignores the endpoints, nobody rejoins.  Every check below then
    computes exactly what the pre-environment engine computed, which is
    what keeps static runs bit-identical. *)
-let env_of_faults (f : faults) =
+let env_of_faults (f : Engine.faults) =
   {
     env_alive = (fun ~node ~round -> f.Engine.alive ~node ~round);
     env_present_since = (fun ~node ~since:_ ~round -> f.Engine.alive ~node ~round);
@@ -62,31 +59,8 @@ let env_of_faults (f : faults) =
     env_has_churn = false;
   }
 
-(* ?faults and ?env compose: the static plan filters first (its jitter
-   feeds the environment's latency map), the environment decides
-   presence over intervals and rejoins. *)
-let compose_env (f : faults) (e : env) =
-  if f == no_faults then e
-  else
-    {
-      env_alive =
-        (fun ~node ~round -> f.Engine.alive ~node ~round && e.env_alive ~node ~round);
-      env_present_since =
-        (fun ~node ~since ~round ->
-          f.Engine.alive ~node ~round && e.env_present_since ~node ~since ~round);
-      env_drop =
-        (fun ~initiator ~responder ~round ->
-          f.Engine.drop ~initiator ~responder ~round
-          || e.env_drop ~initiator ~responder ~round);
-      env_latency =
-        (fun ~u ~v ~latency ~round ->
-          e.env_latency ~u ~v ~latency:(f.Engine.jitter ~latency ~round) ~round);
-      env_rejoin = e.env_rejoin;
-      env_has_churn = e.env_has_churn;
-    }
-
-let resolve_env ?env faults =
-  match env with None -> env_of_faults faults | Some e -> compose_env faults e
+(* The default environment: no crashes, drops, jitter or churn. *)
+let static_env = env_of_faults Engine.no_faults
 
 exception Jitter_overflow of { latency : int; bound : int; round : int }
 
@@ -905,8 +879,8 @@ let merge t =
 
 (* Validate the inputs, seed the kernel's store, and lay out [k]
    shards over the node range. *)
-let make ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter = 0) ?telemetry
-    ?pool_capacity ?informed ?deadline ?on_round ~max_rounds rng csr ~kernel ~source =
+let make ~k ?(env = static_env) ?wheel_latency ?(max_jitter = 0) ?telemetry ?pool_capacity
+    ?informed ?deadline ?on_round ~max_rounds rng csr ~kernel ~source =
   let n = Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Wheel_engine.create: source out of range";
   let bound = wheel_bound ?wheel_latency ~max_jitter csr in
@@ -920,7 +894,7 @@ let make ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter = 0) ?telemet
     {
       sh_csr = csr;
       sh_kernel = kernel;
-      sh_env = resolve_env ?env faults;
+      sh_env = env;
       sh_wheel = bound + 1;
       sh_mw = mw;
       sh_informed = Rumor_store.bytes store;
@@ -963,17 +937,15 @@ let make ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter = 0) ?telemet
     c_fail = None;
   }
 
-let create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
-    rng csr ~kernel ~source =
-  make ~k:1 ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
+let create_kernel ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed rng csr
+    ~kernel ~source =
+  make ~k:1 ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
     ~max_rounds:max_int rng csr ~kernel ~source
 
-let create ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed rng
-    csr ~protocol ~source =
-  create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
-    rng csr
-    ~kernel:(Kernel.of_protocol csr protocol)
-    ~source
+let create ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed rng csr ~protocol
+    ~source =
+  create_kernel ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed rng csr
+    ~kernel:(Kernel.of_protocol csr protocol) ~source
 
 let current_round t = t.c_round
 
@@ -999,14 +971,14 @@ let step t =
   round_one t;
   match t.c_fail with Some e -> raise e | None -> ()
 
-let broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
+let broadcast_kernel ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
     ?pool_capacity ?informed ?(domains = 1) rng csr ~kernel ~source ~max_rounds =
   if domains < 1 then invalid_arg "Wheel_engine.broadcast: domains must be >= 1";
   let n = Csr.n csr in
   let k = min domains n in
   let t =
-    make ~k ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
-      ?deadline ?on_round ~max_rounds rng csr ~kernel ~source
+    make ~k ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed ?deadline
+      ?on_round ~max_rounds rng csr ~kernel ~source
   in
   (* Pre-loop checks: already complete, no round budget, deadline. *)
   if t.c_count = n then t.c_rounds <- Some 0
@@ -1071,9 +1043,7 @@ let broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
     informed = t.ctx.sh_informed;
   }
 
-let broadcast ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-    ?pool_capacity ?informed ?domains rng csr ~protocol ~source ~max_rounds =
-  broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-    ?pool_capacity ?informed ?domains rng csr
-    ~kernel:(Kernel.of_protocol csr protocol)
-    ~source ~max_rounds
+let broadcast ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?pool_capacity
+    ?informed ?domains rng csr ~protocol ~source ~max_rounds =
+  broadcast_kernel ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?pool_capacity
+    ?informed ?domains rng csr ~kernel:(Kernel.of_protocol csr protocol) ~source ~max_rounds

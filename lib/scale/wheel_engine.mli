@@ -46,7 +46,7 @@
     plus the [on_initiate] / [on_deliver] / [on_response] hooks the
     round phases call (see {!Kernel} for the hook contract and why the
     RNG-stream discipline is part of it).  The engine owns everything
-    else — pool, wheels, faults, deadline, RNG streams, telemetry,
+    else — pool, wheels, environment, deadline, RNG streams, telemetry,
     shard mailboxes. *)
 
 (** The serializable protocol descriptors ({!Kernel.protocol},
@@ -113,18 +113,13 @@ val protocol_of_string : string -> protocol option
 (** Canonical protocol names for help strings. *)
 val known_protocols : string list
 
-(** Fault injection is shared with the reference engine so experiment
-    plans ({!Gossip_core.Robustness}-style crash/drop/jitter closures)
-    run unchanged on either. *)
-type faults = Gossip_sim.Engine.faults
-
-val no_faults : faults
-
-(** A time-indexed network environment — the generalization of
-    {!faults} that dynamic scenarios ([lib/dyn]) compile into.  Where a
-    fault plan sees only [(node, round)] or [(latency, round)], an
-    environment additionally sees {e edge identity} ([u], [v]) for
-    latency rewriting and {e presence intervals} for churn:
+(** A time-indexed network environment — the engine's only
+    network-conditions input.  Dynamic scenarios ([lib/dyn]) compile
+    into one; a static fault plan enters through {!env_of_faults}.
+    Where a reference-engine fault plan ({!Gossip_sim.Engine.faults})
+    sees only [(node, round)] or [(latency, round)], an environment
+    additionally sees {e edge identity} ([u], [v]) for latency
+    rewriting and {e presence intervals} for churn:
 
     - [env_alive ~node ~round]: may [node] act (initiate, respond,
       be counted live) at [round]?
@@ -158,19 +153,20 @@ type env = {
   env_has_churn : bool;
 }
 
-(** [env_of_faults f] embeds a static fault plan as the trivial
-    environment ([env_present_since] ignores [since]; no churn) —
-    running it is bit-identical to running [f] directly.  When both
-    [?faults] and [?env] are given to {!create} / {!broadcast}, they
-    compose: alive conjoins, drop disjoins, and the fault plan's jitter
-    feeds the environment's [env_latency]. *)
-val env_of_faults : faults -> env
+(** [env_of_faults f] is the adapter for static fault plans: it embeds
+    the reference engine's plan [f] — arbitrary pure closures, such as
+    {!Gossip_core.Robustness}-style crash/drop/jitter plans, that a
+    declarative [Scenario.t] cannot express — as the trivial
+    environment ([env_present_since] ignores [since]; no churn), so the
+    same plan runs unchanged on either engine.  Omitting [?env] means
+    [env_of_faults Gossip_sim.Engine.no_faults]. *)
+val env_of_faults : Gossip_sim.Engine.faults -> env
 
 (** Counters are the reference engine's record, so downstream
     aggregation code needs no conversion. *)
 type metrics = Gossip_sim.Engine.metrics
 
-(** Raised by {!step} and {!broadcast} when a fault plan jitters a
+(** Raised by {!step} and {!broadcast} when the environment jitters a
     latency past the wheel bound mid-run.  A typed exception (with a
     registered printer) rather than [Invalid_argument] so a sweep
     runtime can record the run as a failed outcome instead of
@@ -206,7 +202,7 @@ val gauge_of_minor_words : total:float -> rounds:int -> int
 (** A one-shard run, advanced a round at a time by {!step}. *)
 type t
 
-(** [create ?faults ?wheel_latency ?max_jitter ?telemetry rng csr
+(** [create ?env ?wheel_latency ?max_jitter ?telemetry rng csr
     ~protocol ~source] builds a one-shard run with the source already
     informed — the run {!broadcast} executes at [domains = 1], exposed
     so callers can drive it round by round.  [wheel_latency] sizes the
@@ -214,7 +210,7 @@ type t
     must be an upper bound on every jittered latency the run will
     see.
 
-    [max_jitter] (default [0]) declares the fault plan's maximum
+    [max_jitter] (default [0]) declares the environment's maximum
     additive jitter.  Declaring it sizes the wheel to
     [ℓ_max + max_jitter] automatically and makes an undersized
     explicit [wheel_latency] fail fast here, with a clear message,
@@ -250,10 +246,9 @@ type t
     per executed round on the orchestrating domain (ROADMAP item 3's
     allocation-free-round-loop enforcement hook).
 
-    [env] is a time-indexed environment (see {!env}); it composes with
-    [?faults] as documented at {!env_of_faults}.  A dynamic
-    environment's [env_latency] must respect [wheel_latency] /
-    [max_jitter] sizing exactly as a jitter fault plan would.
+    [env] is the run's network environment (see {!env}; default: no
+    faults, no churn).  Its [env_latency] must respect [wheel_latency]
+    / [max_jitter] sizing.
 
     [informed] seeds the initial informed set from a byte vector (any
     nonzero byte marks the node; the source is always added) — this is
@@ -265,7 +260,6 @@ type t
     of the wrong length, or (for {!create}) the [Rr_spanner _]
     descriptor, which needs a precomputed spanner. *)
 val create :
-  ?faults:faults ->
   ?env:env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->
@@ -287,7 +281,6 @@ val create :
     @raise Invalid_argument as {!create}, plus on a kernel contact
     mismatch. *)
 val create_kernel :
-  ?faults:faults ->
   ?env:env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->
@@ -334,7 +327,7 @@ type result = {
           {!Rumor_store} byte array, shared, not copied. *)
 }
 
-(** [broadcast ?faults ?wheel_latency ?max_jitter ?deadline ?domains
+(** [broadcast ?env ?wheel_latency ?max_jitter ?deadline ?domains
     rng csr ~protocol ~source ~max_rounds] runs until every node is
     informed or the round budget is spent.  [deadline] is an absolute
     wall-clock time ([Unix.gettimeofday] scale): it is checked
@@ -349,8 +342,8 @@ type result = {
     through per-[(src, dst)] mailboxes drained in fixed shard order at
     phase barriers.  The trajectory ([history]), [metrics], final
     informed set, and RNG consumption are bit-identical to [domains =
-    1] for every (protocol, seed, fault plan) — {e provided the fault
-    plan's closures are pure} (deterministic functions of their
+    1] for every (protocol, seed, environment) — {e provided the
+    environment's closures are pure} (deterministic functions of their
     arguments; the engine may evaluate them from any domain).  With
     [domains > 1] and [?telemetry], the registry additionally gains a
     ["wheel.shards"] gauge and the cross-shard traffic counters
@@ -373,7 +366,6 @@ type result = {
     wheel mid-run.
     @raise Pool_exhausted when the pool hits [pool_capacity]. *)
 val broadcast :
-  ?faults:faults ->
   ?env:env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->
@@ -397,7 +389,6 @@ val broadcast :
     spanner and for EID's phase-chained runs ([?informed] carries the
     previous phase's informed set). *)
 val broadcast_kernel :
-  ?faults:faults ->
   ?env:env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->

@@ -162,13 +162,14 @@ let test_probe_scale_faults_lose_edges () =
   (* A drop-everything plan measures nothing; the completeness audit
      says so instead of pretending. *)
   let csr = Csr.ring_of_cliques ~cliques:3 ~size:4 ~bridge_latency:2 in
-  let faults =
-    {
-      Gossip_scale.Wheel_engine.no_faults with
-      Gossip_sim.Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true);
-    }
+  let env =
+    Gossip_scale.Wheel_engine.env_of_faults
+      {
+        Gossip_sim.Engine.no_faults with
+        Gossip_sim.Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true);
+      }
   in
-  let r = Discovery.probe_scale ~faults (Rng.of_int 2) csr ~d_bound:5 in
+  let r = Discovery.probe_scale ~env (Rng.of_int 2) csr ~d_bound:5 in
   checkb "nothing discovered" true (r.Discovery.s_edges_known = 0);
   checkb "not complete" false r.Discovery.s_complete
 

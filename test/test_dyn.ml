@@ -282,27 +282,18 @@ let check_same label (a : Wheel.result) (b : Wheel.result) =
 let test_static_bit_identity () =
   let csr = Csr.ring_of_cliques ~cliques:5 ~size:6 ~bridge_latency:5 in
   let c = Scenario.compile Scenario.static ~csr ~source:3 in
-  let faults =
-    {
-      Wheel.no_faults with
-      Engine.drop = (fun ~initiator ~responder ~round -> (initiator + responder + round) mod 7 = 0);
-    }
-  in
   List.iter
     (fun protocol ->
       let name = Wheel.protocol_name protocol in
-      let run ?faults ?env ?wheel_latency d =
-        Wheel.broadcast ?faults ?env ?wheel_latency ~domains:d (Rng.of_int 11) csr ~protocol
-          ~source:3 ~max_rounds:100_000
+      let run ?env ?wheel_latency d =
+        Wheel.broadcast ?env ?wheel_latency ~domains:d (Rng.of_int 11) csr ~protocol ~source:3
+          ~max_rounds:100_000
       in
-      (* Trivial env vs no env, sequential and sharded... *)
+      (* Trivial env vs no env, sequential and sharded. *)
       check_same (name ^ " seq") (run 1)
         (run ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency 1);
       check_same (name ^ " sharded") (run 1)
-        (run ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency 3);
-      (* ... and composed with a static fault plan. *)
-      check_same (name ^ " faults") (run ~faults 1)
-        (run ~faults ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency 1))
+        (run ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency 3))
     [ Wheel.Push_pull; Wheel.Flood; Wheel.Random_contact ]
 
 (* ------------------------------------------------------------------ *)

@@ -288,14 +288,9 @@ let test_dtg_confined_to_subgraph () =
 
 let test_kernel_fault_smoke () =
   let csr = Csr.ring_of_cliques ~cliques:5 ~size:6 ~bridge_latency:3 in
-  let crash =
-    { Wheel.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) }
-  in
-  let jitter =
-    {
-      Wheel.no_faults with
-      Engine.jitter = (fun ~latency ~round -> latency + ((latency + round) mod 3));
-    }
+  let env name =
+    let _, env, _ = List.find (fun (n, _, _) -> n = name) Stepped.parity_envs in
+    env
   in
   let mk_rr () =
     let s = Spanner.build (Rng.of_int 3) (Csr.to_graph csr) ~k:2 () in
@@ -306,15 +301,15 @@ let test_kernel_fault_smoke () =
     (fun (label, mk) ->
       (* Kernels are single-run (mutable cursors): fresh instance per run. *)
       let crashed =
-        Wheel.broadcast_kernel ~faults:crash (Rng.of_int 2) csr ~kernel:(mk ()) ~source:0
+        Wheel.broadcast_kernel ~env:(env "crash") (Rng.of_int 2) csr ~kernel:(mk ()) ~source:0
           ~max_rounds:2_000
       in
       checkb (label ^ " crash run executes") true
         (crashed.Wheel.metrics.Engine.initiations > 0);
       checkb (label ^ " crash drops counted") true (crashed.Wheel.metrics.Engine.dropped > 0);
       let jittered =
-        Wheel.broadcast_kernel ~faults:jitter ~max_jitter:2 (Rng.of_int 2) csr ~kernel:(mk ())
-          ~source:0 ~max_rounds:20_000
+        Wheel.broadcast_kernel ~env:(env "jitter") ~max_jitter:2 (Rng.of_int 2) csr
+          ~kernel:(mk ()) ~source:0 ~max_rounds:20_000
       in
       checkb (label ^ " completes under jitter") true (jittered.Wheel.rounds <> None))
     [ ("rr-spanner", mk_rr); ("dtg", fun () -> Kernel.dtg_local ~ell:3 csr) ]
@@ -584,36 +579,6 @@ let prop_algebraic_twin =
 (* ------------------------------------------------------------------ *)
 (* Sharded-vs-sequential parity for the new kernels *)
 
-(* Same CI matrix convention as test_scale: GOSSIP_PARITY_DOMAINS
-   selects the shard counts to sweep. *)
-let parity_domains =
-  match Sys.getenv_opt "GOSSIP_PARITY_DOMAINS" with
-  | None -> [ 1; 2; 3; 4 ]
-  | Some s ->
-      let ds = String.split_on_char ',' s |> List.filter_map int_of_string_opt in
-      if ds = [] then [ 1; 2; 3; 4 ] else ds
-
-let parity_fault_plans =
-  [
-    ("none", Wheel.no_faults, 0);
-    ( "drop",
-      {
-        Wheel.no_faults with
-        Engine.drop =
-          (fun ~initiator ~responder ~round -> (initiator + (3 * responder) + round) mod 5 = 0);
-      },
-      0 );
-    ( "crash",
-      { Wheel.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) },
-      0 );
-    ( "jitter",
-      {
-        Wheel.no_faults with
-        Engine.jitter = (fun ~latency ~round -> latency + ((latency + round) mod 3));
-      },
-      2 );
-  ]
-
 let test_sharded_kernel_fixed () =
   let csr = Csr.ring_of_cliques ~cliques:6 ~size:7 ~bridge_latency:9 in
   let s = Spanner.build (Rng.of_int 4) (Csr.to_graph csr) ~k:3 () in
@@ -627,7 +592,7 @@ let test_sharded_kernel_fixed () =
       let base = run 1 in
       List.iter
         (fun d -> check_same_run (Printf.sprintf "%s domains=%d" name d) base (run d))
-        parity_domains)
+        Stepped.parity_domains)
     [
       ( "rr-spanner",
         fun () -> Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented );
@@ -650,16 +615,16 @@ let prop_sharded_kernel_parity =
           fun () -> Kernel.rr_broadcast ~k:(Csr.oriented_max_latency o) o)
         else fun () -> Kernel.dtg_local ~ell:(1 + (pick / 2)) csr
       in
-      let _, faults, max_jitter = List.nth parity_fault_plans (pick / 2) in
+      let _, env, max_jitter = List.nth Stepped.parity_envs (pick / 2) in
       let run d =
-        Wheel.broadcast_kernel ~faults ~max_jitter ~domains:d
+        Wheel.broadcast_kernel ~env ~max_jitter ~domains:d
           (Rng.of_int (seed + 1))
           csr ~kernel:(mk ()) ~source ~max_rounds:400
       in
       let base = run 1 in
       let stepped =
         Stepped.run ~n ~max_rounds:400
-          (Wheel.create_kernel ~faults ~max_jitter
+          (Wheel.create_kernel ~env ~max_jitter
              (Rng.of_int (seed + 1))
              csr ~kernel:(mk ()) ~source)
       in
@@ -671,7 +636,7 @@ let prop_sharded_kernel_parity =
              && r.Wheel.history = base.Wheel.history
              && r.Wheel.metrics = base.Wheel.metrics
              && Bytes.equal r.Wheel.informed base.Wheel.informed)
-           parity_domains)
+           Stepped.parity_domains)
 
 (* Dynamic scenarios compiled by lib/dyn — latency drift, churn, and
    the spanner-targeting adversary — obey the same parity contract on
@@ -731,7 +696,7 @@ let prop_sharded_kernel_parity_scenario =
              && r.Wheel.history = base.Wheel.history
              && r.Wheel.metrics = base.Wheel.metrics
              && Bytes.equal r.Wheel.informed base.Wheel.informed)
-           parity_domains)
+           Stepped.parity_domains)
 
 (* The acceptance property for the rumor-state layer: multi-rumor
    all-to-all runs are bit-identical across shard counts — completion
@@ -755,11 +720,11 @@ let prop_rumor_sharded_parity =
         | 1 -> (Kernel.Rumor_rotation { k; budget }, "rotation")
         | _ -> (Kernel.Algebraic { k; budget = 0 }, "algebraic")
       in
-      let _, faults, max_jitter = List.nth parity_fault_plans pick in
+      let _, env, max_jitter = List.nth Stepped.parity_envs pick in
       let run d =
         let reg = Registry.create () in
         let r =
-          Wheel.broadcast ~faults ~max_jitter ~telemetry:reg ~domains:d
+          Wheel.broadcast ~env ~max_jitter ~telemetry:reg ~domains:d
             (Rng.of_int (seed + 1))
             csr ~protocol:proto ~source:(seed mod n) ~max_rounds:400
         in
@@ -772,7 +737,7 @@ let prop_rumor_sharded_parity =
         let reg = Registry.create () in
         let r =
           Stepped.run ~n ~max_rounds:400
-            (Wheel.create ~faults ~max_jitter ~telemetry:reg
+            (Wheel.create ~env ~max_jitter ~telemetry:reg
                (Rng.of_int (seed + 1))
                csr ~protocol:proto ~source:(seed mod n))
         in
@@ -790,7 +755,7 @@ let prop_rumor_sharded_parity =
              && r.Wheel.metrics = base.Wheel.metrics
              && Bytes.equal r.Wheel.informed base.Wheel.informed
              && w = base_w)
-           parity_domains)
+           Stepped.parity_domains)
 
 (* Churn is the rumor-specific hazard: a rejoining node must drop to
    its own rumor (partial subsets, partial spans) on every runtime the
@@ -832,7 +797,7 @@ let prop_rumor_sharded_parity_churn =
           && r.Wheel.history = base.Wheel.history
           && r.Wheel.metrics = base.Wheel.metrics
           && Bytes.equal r.Wheel.informed base.Wheel.informed)
-        parity_domains)
+        Stepped.parity_domains)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-tagged telemetry *)
@@ -922,9 +887,9 @@ let prop_check_sharded_parity =
       let s = Spanner.build (Rng.of_int (seed + 3)) g ~k:2 () in
       let oriented = Csr.of_oriented_spanner s.Spanner.out_edges in
       let informed = Bytes.init n (fun v -> if (v + seed) mod 4 = 0 then '\000' else '\001') in
-      let _, faults, max_jitter = List.nth parity_fault_plans pick in
+      let _, env, max_jitter = List.nth Stepped.parity_envs pick in
       let run d =
-        Check.run_scale ~faults ~max_jitter ~domains:d
+        Check.run_scale ~env ~max_jitter ~domains:d
           (Rng.of_int (seed + 1))
           csr ~oriented ~k ~informed
       in
@@ -935,7 +900,7 @@ let prop_check_sharded_parity =
           r.Check.sc_rounds = base.Check.sc_rounds
           && r.Check.sc_metrics = base.Check.sc_metrics
           && Bytes.equal r.Check.sc_failed base.Check.sc_failed)
-        parity_domains)
+        Stepped.parity_domains)
 
 let prop_discovery_sharded_parity =
   let module Discovery = Gossip_core.Discovery in
@@ -945,9 +910,9 @@ let prop_discovery_sharded_parity =
     (fun (n, seed, pick) ->
       let g = gen_graph n seed 5 in
       let csr = Csr.of_graph g in
-      let _, faults, max_jitter = List.nth parity_fault_plans pick in
+      let _, env, max_jitter = List.nth Stepped.parity_envs pick in
       let run d =
-        Discovery.probe_scale ~faults ~max_jitter ~domains:d
+        Discovery.probe_scale ~env ~max_jitter ~domains:d
           (Rng.of_int (seed + 1))
           csr ~d_bound:3
       in
@@ -958,7 +923,7 @@ let prop_discovery_sharded_parity =
           r.Discovery.s_rounds = base.Discovery.s_rounds
           && r.Discovery.s_lat = base.Discovery.s_lat
           && Csr.equal r.Discovery.s_discovered base.Discovery.s_discovered)
-        parity_domains)
+        Stepped.parity_domains)
 
 (* ------------------------------------------------------------------ *)
 (* EID on the scale engine *)
@@ -1023,7 +988,7 @@ let test_unknown_eid_scale () =
       checki (Printf.sprintf "k_final domains=%d" d) r.Eid.u_k_final rd.Eid.u_k_final;
       checkb (Printf.sprintf "informed domains=%d" d) true
         (Bytes.equal r.Eid.u_informed rd.Eid.u_informed))
-    parity_domains
+    Stepped.parity_domains
 
 let test_unified_scale () =
   let module Dissemination = Gossip_core.Dissemination in
@@ -1051,7 +1016,7 @@ let test_unified_scale () =
         (r.Dissemination.b_winner = rd.Dissemination.b_winner);
       checkb (Printf.sprintf "informed domains=%d" d) true
         (Bytes.equal r.Dissemination.b_informed rd.Dissemination.b_informed))
-    parity_domains
+    Stepped.parity_domains
 
 let () =
   Alcotest.run "gossip_kernel"

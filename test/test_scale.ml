@@ -143,11 +143,12 @@ let test_wheel_single_node () =
 
 let test_wheel_drop_everything () =
   let c = Csr.of_graph (Gen.path 2) in
-  let faults =
-    { Wheel.no_faults with Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true) }
+  let env =
+    Wheel.env_of_faults
+      { Engine.no_faults with Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true) }
   in
   let r =
-    Wheel.broadcast ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:50
+    Wheel.broadcast ~env (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:50
   in
   checkb "never completes" true (r.Wheel.rounds = None);
   checki "everything dropped" r.Wheel.metrics.Engine.initiations
@@ -158,10 +159,10 @@ let test_wheel_crash_isolates () =
   (* Path 0-1-2: node 1 crashed from the start, so the rumor can never
      cross and node 2 stays uninformed. *)
   let c = Csr.of_graph (Gen.path 3) in
-  let faults =
-    { Wheel.no_faults with Engine.alive = (fun ~node ~round:_ -> node <> 1) }
+  let env =
+    Wheel.env_of_faults { Engine.no_faults with Engine.alive = (fun ~node ~round:_ -> node <> 1) }
   in
-  let t = Wheel.create ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 in
+  let t = Wheel.create ~env (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 in
   for _ = 1 to 60 do
     Wheel.step t
   done;
@@ -172,17 +173,18 @@ let test_wheel_crash_isolates () =
 
 let test_wheel_jitter_bound () =
   let c = Csr.of_graph (Gen.path 2) in
-  let faults =
-    { Wheel.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
+  let env =
+    Wheel.env_of_faults
+      { Engine.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
   in
   (* An undeclared jitter overrunning the wheel is a typed exception
      (a failed run for the sweep runtime), not Invalid_argument. *)
-  let t = Wheel.create ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 in
+  let t = Wheel.create ~env (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 in
   Alcotest.check_raises "oversized jitter rejected"
     (Wheel.Jitter_overflow { latency = 51; bound = 1; round = 0 }) (fun () -> Wheel.step t);
   (* A wheel sized for the jitter accepts it. *)
   let t =
-    Wheel.create ~faults ~wheel_latency:64 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+    Wheel.create ~env ~wheel_latency:64 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
   in
   let rec go n = if Wheel.informed_count t < 2 && n > 0 then (Wheel.step t; go (n - 1)) in
   go 200;
@@ -190,13 +192,14 @@ let test_wheel_jitter_bound () =
 
 let test_wheel_max_jitter_declared () =
   let c = Csr.of_graph (Gen.path 2) in
-  let faults =
-    { Wheel.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
+  let env =
+    Wheel.env_of_faults
+      { Engine.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
   in
   (* Declaring the plan's maximum jitter sizes the wheel automatically:
      the same plan that overflowed above now runs to completion. *)
   let t =
-    Wheel.create ~faults ~max_jitter:50 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+    Wheel.create ~env ~max_jitter:50 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
   in
   let rec go n = if Wheel.informed_count t < 2 && n > 0 then (Wheel.step t; go (n - 1)) in
   go 400;
@@ -204,7 +207,7 @@ let test_wheel_max_jitter_declared () =
   (* An explicit wheel_latency too small for the declared jitter fails
      fast at create, not thousands of rounds into a sweep job. *)
   (match
-     Wheel.create ~faults ~wheel_latency:10 ~max_jitter:50 (Rng.of_int 4) c
+     Wheel.create ~env ~wheel_latency:10 ~max_jitter:50 (Rng.of_int 4) c
        ~protocol:Wheel.Push_pull ~source:0
    with
   | _ -> Alcotest.fail "undersized wheel accepted"
@@ -389,38 +392,6 @@ let test_wheel_pool_exhausted () =
 (* ------------------------------------------------------------------ *)
 (* Sharded-vs-sequential engine parity *)
 
-(* CI matrixes the property over shard counts by setting
-   GOSSIP_PARITY_DOMAINS (comma-separated); the default sweeps 1-4. *)
-let parity_domains =
-  match Sys.getenv_opt "GOSSIP_PARITY_DOMAINS" with
-  | None -> [ 1; 2; 3; 4 ]
-  | Some s ->
-      let ds = String.split_on_char ',' s |> List.filter_map int_of_string_opt in
-      if ds = [] then [ 1; 2; 3; 4 ] else ds
-
-(* Pure fault plans (deterministic functions of their arguments), as
-   the sharded engine's contract requires. *)
-let parity_fault_plans =
-  [
-    ("none", Wheel.no_faults, 0);
-    ( "drop",
-      {
-        Wheel.no_faults with
-        Engine.drop =
-          (fun ~initiator ~responder ~round -> (initiator + (3 * responder) + round) mod 5 = 0);
-      },
-      0 );
-    ( "crash",
-      { Wheel.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) },
-      0 );
-    ( "jitter",
-      {
-        Wheel.no_faults with
-        Engine.jitter = (fun ~latency ~round -> latency + ((latency + round) mod 3));
-      },
-      2 );
-  ]
-
 let check_sharded_parity label base (r : Wheel.result) =
   Alcotest.check (Alcotest.option Alcotest.int) (label ^ " rounds") base.Wheel.rounds
     r.Wheel.rounds;
@@ -439,7 +410,7 @@ let test_sharded_parity_fixed () =
       let base = run 1 in
       List.iter
         (fun d -> check_sharded_parity (Printf.sprintf "%s domains=%d" name d) base (run d))
-        parity_domains)
+        Stepped.parity_domains)
     [ Wheel.Push_pull; Wheel.Flood; Wheel.Random_contact ]
 
 (* The tentpole acceptance property: for every protocol and every pure
@@ -461,16 +432,16 @@ let prop_sharded_parity =
       let protocol =
         match pick mod 3 with 0 -> Wheel.Push_pull | 1 -> Wheel.Flood | _ -> Wheel.Random_contact
       in
-      let _, faults, max_jitter = List.nth parity_fault_plans (pick / 3) in
+      let _, env, max_jitter = List.nth Stepped.parity_envs (pick / 3) in
       let run d =
-        Wheel.broadcast ~faults ~max_jitter ~domains:d
+        Wheel.broadcast ~env ~max_jitter ~domains:d
           (Rng.of_int (seed + 1))
           csr ~protocol ~source ~max_rounds:400
       in
       let base = run 1 in
       let stepped =
         Stepped.run ~n ~max_rounds:400
-          (Wheel.create ~faults ~max_jitter (Rng.of_int (seed + 1)) csr ~protocol ~source)
+          (Wheel.create ~env ~max_jitter (Rng.of_int (seed + 1)) csr ~protocol ~source)
       in
       Stepped.same stepped base
       && List.for_all
@@ -480,7 +451,7 @@ let prop_sharded_parity =
              && r.Wheel.history = base.Wheel.history
              && r.Wheel.metrics = base.Wheel.metrics
              && Bytes.equal r.Wheel.informed base.Wheel.informed)
-           parity_domains)
+           Stepped.parity_domains)
 
 let test_sharded_dead_shard () =
   (* n = 40, k = 4: shard 1 owns exactly nodes 10..19 (bounds 0, 10,
@@ -492,11 +463,12 @@ let test_sharded_dead_shard () =
     Gen.with_latencies rng (Gen.Uniform (1, 5)) (Gen.erdos_renyi_connected rng ~n:40 ~p:0.25)
   in
   let csr = Csr.of_graph g in
-  let faults =
-    { Wheel.no_faults with Engine.alive = (fun ~node ~round:_ -> node < 10 || node >= 20) }
+  let env =
+    Wheel.env_of_faults
+      { Engine.no_faults with Engine.alive = (fun ~node ~round:_ -> node < 10 || node >= 20) }
   in
   let run d =
-    Wheel.broadcast ~faults ~domains:d (Rng.of_int 8) csr ~protocol:Wheel.Push_pull ~source:0
+    Wheel.broadcast ~env ~domains:d (Rng.of_int 8) csr ~protocol:Wheel.Push_pull ~source:0
       ~max_rounds:300
   in
   let base = run 1 in
@@ -758,7 +730,7 @@ let prop_sharded_parity_scenario =
           && r.Wheel.history = base.Wheel.history
           && r.Wheel.metrics = base.Wheel.metrics
           && Bytes.equal r.Wheel.informed base.Wheel.informed)
-        parity_domains)
+        Stepped.parity_domains)
 
 let () =
   Alcotest.run "gossip_scale"
